@@ -2458,6 +2458,33 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_bodies_get_a_400_not_a_stack_overflow() {
+        // Without the nesting cap, 10 KB of `[` overflows a worker's
+        // stack and aborts the process; under --replicas the parent
+        // parses these bodies before forwarding.
+        let deep = "[".repeat(10_000);
+        let bodies = [
+            ("/v1/batch", deep.clone()),
+            ("/v1/batch", format!("{{\"specs\":{deep}")),
+            ("/v1/eval", format!("{{\"spec\":{deep}")),
+        ];
+        let unreachable = Arc::new(vec!["127.0.0.1:9".to_string(); 2]);
+        let routers = [
+            router(),
+            build_parent_router(&state(), unreachable, Arc::new(HashRing::new(2))),
+        ];
+        for router in &routers {
+            for (path, body) in &bodies {
+                let resp = router.dispatch(&post(path, None, body));
+                assert_eq!(resp.status, 400, "{path}");
+                assert!(!open_envelope(&resp).0, "{path}");
+            }
+        }
+        let resp = routers[0].dispatch(&post("/v1/eval", None, FIGURE_6B_SPEC));
+        assert_eq!(resp.status, 200, "the server keeps serving");
+    }
+
+    #[test]
     fn batch_shares_the_cache_with_single_eval_requests() {
         let metrics = Arc::new(ServerMetrics::new());
         let router = build_router(Arc::clone(&metrics), Arc::new(ShardedCache::new(4, 32)));

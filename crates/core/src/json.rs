@@ -13,6 +13,11 @@
 //!   [`Json::get`] returning the first match — duplicate keys are
 //!   accepted on parse, as most JSON parsers do.
 //!
+//! Request bodies are untrusted, so decoding is linear in the input's
+//! length and arrays and objects may nest at most [`MAX_DEPTH`] deep:
+//! the parser recurses once per level, and without a cap a 10 KB body of
+//! `[` overflows a server thread's stack.
+//!
 //! ```
 //! use gables_model::json::Json;
 //!
@@ -48,9 +53,10 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] with a byte offset for malformed input.
+    /// Returns [`JsonError`] with a byte offset for malformed input,
+    /// including arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        Parser::parse(text)
+        Parser::new(text).parse()
     }
 
     /// Looks up a key in an object (first match); `None` for non-objects.
@@ -152,6 +158,11 @@ impl fmt::Display for Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts: far
+/// above any document this workspace writes or reads (a few levels), and
+/// shallow enough for the parser's recursion to fit any thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Escapes a string for embedding in a JSON string literal.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -196,20 +207,33 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
+    /// Decode strings with the char-at-a-time reference decoder.
+    #[cfg(test)]
+    reference: bool,
 }
 
 impl<'a> Parser<'a> {
-    fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
-        };
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(JsonError::new(p.pos, "trailing bytes"));
+            depth: 0,
+            #[cfg(test)]
+            reference: false,
+        }
+    }
+
+    fn parse(mut self) -> Result<Json, JsonError> {
+        let value = self.value()?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(JsonError::new(self.pos, "trailing bytes"));
         }
         Ok(value)
     }
@@ -247,8 +271,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -259,6 +283,23 @@ impl<'a> Parser<'a> {
                 format!("unexpected {:?}", other.map(|c| c as char)),
             )),
         }
+    }
+
+    /// Parses one array or object, one level deeper than the caller.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::new(
+                self.pos,
+                format!("nesting deeper than {MAX_DEPTH}"),
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
@@ -329,65 +370,68 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Decodes a string in one pass: each run of unescaped bytes is
+    /// copied with one `push_str`. Both delimiters are ASCII, so a run
+    /// ends on a char boundary, and every escape leaves `pos` on one.
     fn string(&mut self) -> Result<String, JsonError> {
+        #[cfg(test)]
+        if self.reference {
+            return self.string_reference();
+        }
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(JsonError::new(self.pos, "unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| JsonError::new(self.pos, "truncated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| JsonError::new(self.pos, "truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|e| JsonError::new(self.pos, e.to_string()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|e| JsonError::new(self.pos, e.to_string()))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code).ok_or_else(|| {
-                                    JsonError::new(self.pos, "bad \\u code point")
-                                })?,
-                            );
-                        }
-                        other => {
-                            return Err(JsonError::new(
-                                self.pos,
-                                format!("bad escape {:?}", other as char),
-                            ))
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Advance one full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| JsonError::new(self.pos, e.to_string()))?;
-                    let ch = rest.chars().next().expect("non-empty by construction");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| JsonError::new(self.bytes.len(), "unterminated string"))?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            self.escape(&mut out)?;
+        }
+    }
+
+    /// Decodes the escape after a `\` onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let esc = self
+            .peek()
+            .ok_or_else(|| JsonError::new(self.pos, "truncated escape"))?;
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let hex = self
+                    .bytes
+                    .get(self.pos..self.pos + 4)
+                    .ok_or_else(|| JsonError::new(self.pos, "truncated \\u escape"))?;
+                let hex = std::str::from_utf8(hex)
+                    .map_err(|e| JsonError::new(self.pos, e.to_string()))?;
+                let code = u32::from_str_radix(hex, 16)
+                    .map_err(|e| JsonError::new(self.pos, e.to_string()))?;
+                self.pos += 4;
+                out.push(
+                    char::from_u32(code)
+                        .ok_or_else(|| JsonError::new(self.pos, "bad \\u code point"))?,
+                );
+            }
+            other => {
+                return Err(JsonError::new(
+                    self.pos,
+                    format!("bad escape {:?}", other as char),
+                ))
             }
         }
+        Ok(())
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -408,6 +452,9 @@ impl<'a> Parser<'a> {
             .map_err(|e| JsonError::new(start, format!("bad number {text:?}: {e}")))
     }
 }
+
+#[cfg(test)]
+mod fuzz;
 
 #[cfg(test)]
 mod tests {
@@ -487,6 +534,31 @@ mod tests {
     fn whitespace_is_tolerated_everywhere() {
         let v = Json::parse(" { \"a\" : [ 1 , 2 ] } ").unwrap();
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_cap_is_an_error() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let mixed = format!(
+            "{}0{}",
+            "{\"a\":[".repeat(MAX_DEPTH / 2),
+            "]}".repeat(MAX_DEPTH / 2)
+        );
+        assert!(Json::parse(&mixed).is_ok());
+        let over = format!("[{at_cap}]");
+        let err = Json::parse(&over).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert_eq!(err.message, "nesting deeper than 128");
+        // Without the cap, 10,000 levels (a 10 KB body) overflow the stack.
+        let deep = "[".repeat(10_000);
+        for (doc, offset) in [
+            (deep.clone(), MAX_DEPTH),
+            (format!("{deep}1{}", "]".repeat(10_000)), MAX_DEPTH),
+            ("{\"a\":".repeat(10_000), 5 * MAX_DEPTH),
+        ] {
+            assert_eq!(Json::parse(&doc).unwrap_err().offset, offset);
+        }
     }
 
     #[test]

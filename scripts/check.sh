@@ -49,6 +49,10 @@ cargo test -q
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> JSON decoder suite (differential fuzzer vs the char-at-a-time reference, 1 MiB linear-time budget, nesting cap)"
+# Debug build on purpose: the 1 MiB budget must hold unoptimized.
+cargo test -q -p gables-model --lib json::
+
 echo "==> allocation-budget gate (zero-alloc evaluate / sweep points, debug)"
 cargo test -q -p gables-model --test alloc_budget
 
