@@ -60,7 +60,7 @@
 //!   deterministic IDs, and cross-thread span-context propagation.
 //! * [`prof`] — a deterministic-overhead sampling profiler over the
 //!   span stack (folded-stack / flamegraph export) and process-wide
-//!   allocation counters via a counting global allocator.
+//!   and per-thread allocation counters via a counting global allocator.
 //! * [`baselines`] — Roofline, Amdahl, Gustafson, MultiAmdahl, bottleneck
 //!   combinators (Section VI).
 //! * [`viz`] — sampled multi-roofline plot data (Section III-C), rendered

@@ -1,5 +1,5 @@
 //! In-process performance observability: a sampling profiler over the
-//! [`crate::obs`] span stack, plus process-wide allocation counters.
+//! [`crate::obs`] span stack, plus allocation counters.
 //!
 //! # Sampling design
 //!
@@ -40,18 +40,19 @@
 //!
 //! # Allocation counters
 //!
-//! [`CountingAllocator`] wraps [`std::alloc::System`] and counts every
-//! allocation and requested byte process-wide (installed as the
-//! `#[global_allocator]` in [`crate`]). [`AllocScope`] snapshots the
-//! monotone totals to report deltas for a region; nesting works
-//! naturally because deltas are differences of a shared monotone
-//! counter. Under concurrency a scope attributes *process-wide*
-//! allocations to itself, which is the honest upper bound a counting
-//! allocator can give without thread-local bookkeeping.
+//! [`CountingAllocator`] (installed as the `#[global_allocator]` in
+//! [`crate`]) wraps [`std::alloc::System`] and counts every allocation
+//! and requested byte both process-wide ([`alloc_totals`]) and per
+//! thread. [`AllocScope`] snapshots the calling thread's monotone
+//! totals to report deltas for a region; nesting works naturally because
+//! deltas are differences of a monotone counter. A scope sees only its
+//! own thread, so concurrent work on other threads (other requests, or
+//! the helper threads of a parallel sweep) never lands in its delta.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
@@ -66,20 +67,41 @@ use crate::obs::SpanRecord;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    // Const-initialized and free of destructors, so the allocator can
+    // touch it without lazy setup or destructor registration — neither
+    // of which may allocate from inside `GlobalAlloc::alloc`.
+    static THREAD_TOTALS: Cell<AllocTotals> = const {
+        Cell::new(AllocTotals { allocs: 0, bytes: 0 })
+    };
+}
+
+/// Counts one allocation of `bytes` process-wide and for this thread.
+fn count_alloc(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    let _ = THREAD_TOTALS.try_with(|totals| {
+        let mut t = totals.get();
+        t.allocs += 1;
+        t.bytes += bytes as u64;
+        totals.set(t);
+    });
+}
+
 /// A counting wrapper around the system allocator. Installed as the
 /// workspace-wide `#[global_allocator]` so every Gables binary can
 /// report allocations-per-operation; the only cost over
-/// [`std::alloc::System`] is two relaxed atomic increments per
-/// allocation.
+/// [`std::alloc::System`] is two relaxed atomic increments and one
+/// thread-local update per allocation.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CountingAllocator;
 
 // SAFETY: delegates all allocation to `System`; the counters are plain
-// relaxed atomics and never touch the allocator state.
+// relaxed atomics and a destructor-free thread-local, and never touch
+// the allocator state.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_alloc(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -88,21 +110,19 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_alloc(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count_alloc(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
-/// Monotone process-wide allocation totals (counts and requested
-/// bytes). Bytes are *requested*, not resident: frees are not
-/// subtracted, so totals only grow.
+/// Monotone allocation totals (counts and requested bytes). Bytes are
+/// *requested*, not resident: frees are not subtracted, so totals only
+/// grow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AllocTotals {
     /// Number of allocation calls (alloc, alloc_zeroed, realloc).
@@ -130,25 +150,29 @@ pub fn alloc_totals() -> AllocTotals {
     }
 }
 
-/// A scoped allocation counter: snapshots the global totals at
-/// [`AllocScope::begin`] and reports the delta on demand. Scopes nest
-/// freely — an inner scope's delta is always contained in the outer's.
+/// A scoped allocation counter: snapshots the calling thread's totals
+/// at [`AllocScope::begin`] and reports the delta on demand. It counts
+/// that thread only, so it cannot leave the thread (`!Send`). Scopes
+/// nest freely — an inner scope's delta is always contained in the
+/// outer's.
 #[derive(Debug, Clone, Copy)]
 pub struct AllocScope {
     start: AllocTotals,
+    _this_thread: PhantomData<*const ()>,
 }
 
 impl AllocScope {
-    /// Opens a scope at the current totals.
+    /// Opens a scope at the calling thread's current totals.
     pub fn begin() -> Self {
         AllocScope {
-            start: alloc_totals(),
+            start: THREAD_TOTALS.with(Cell::get),
+            _this_thread: PhantomData,
         }
     }
 
-    /// Allocations and bytes since the scope opened.
+    /// This thread's allocations and bytes since the scope opened.
     pub fn delta(&self) -> AllocTotals {
-        alloc_totals().since(self.start)
+        THREAD_TOTALS.with(Cell::get).since(self.start)
     }
 }
 
@@ -608,17 +632,31 @@ mod tests {
         let b: Vec<u64> = vec![0; 2048];
         let inner_delta = inner.delta();
         let outer_delta = outer.delta();
-        // Other test threads may allocate concurrently, so the counters
-        // are lower bounds — but the nesting invariants are exact.
-        assert!(inner_delta.allocs >= 1, "inner saw b's allocation");
-        assert!(inner_delta.bytes >= 2048 * 8);
-        assert!(outer_delta.allocs > inner_delta.allocs);
-        assert!(outer_delta.bytes >= inner_delta.bytes + 1024 * 8);
+        // Scopes count this thread only, so other test threads cannot
+        // perturb them: the deltas are exact.
+        assert_eq!((inner_delta.allocs, inner_delta.bytes), (1, 2048 * 8));
+        assert_eq!((outer_delta.allocs, outer_delta.bytes), (2, 3072 * 8));
         drop((a, b));
         // Frees never shrink the totals (monotone counters).
-        let after = outer.delta();
-        assert!(after.allocs >= outer_delta.allocs);
-        assert!(after.bytes >= outer_delta.bytes);
+        assert_eq!(outer.delta(), outer_delta);
+    }
+
+    #[test]
+    fn alloc_scope_ignores_other_threads_but_process_totals_do_not() {
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let helper_barrier = Arc::clone(&barrier);
+        let helper = std::thread::spawn(move || {
+            helper_barrier.wait();
+            std::hint::black_box(vec![0u8; 1 << 20]);
+            helper_barrier.wait();
+        });
+        let (scope, process) = (AllocScope::begin(), alloc_totals());
+        barrier.wait(); // the helper allocates between the two waits
+        barrier.wait();
+        let (here, everywhere) = (scope.delta(), alloc_totals().since(process));
+        helper.join().unwrap();
+        assert_eq!(here, AllocTotals::default(), "{here:?}");
+        assert!(everywhere.bytes >= 1 << 20, "{everywhere:?}");
     }
 
     #[test]

@@ -1,25 +1,18 @@
 //! Allocation-budget gates for the model's hot paths.
 //!
-//! The counting allocator ([`gables_model::prof::CountingAllocator`])
-//! is process-wide, so these assertions live in their own integration
-//! binary and serialize on a lock: nothing else may allocate while a
-//! scope is being measured, or a `== 0` assertion would flake.
+//! [`AllocScope`] counts the calling thread's allocations through the
+//! counting allocator ([`gables_model::prof::CountingAllocator`]), so
+//! other test threads cannot leak into a `== 0` assertion.
 //!
 //! The budgets are exact, not "small": steady-state [`evaluate`] does
 //! zero heap allocations once the spec exists, and an offload sweep
 //! pays only its fixed setup (result storage, the workload template)
 //! with zero additional allocations per sweep point.
 
-use std::sync::Mutex;
-
 use gables_model::analysis::offload_sweep_with;
 use gables_model::prof::AllocScope;
 use gables_model::units::{BytesPerSec, OpsPerSec};
 use gables_model::{evaluate, Parallelism, SocSpec, Workload};
-
-/// Serializes the measuring tests: the allocation counters are global
-/// to the process, so concurrent tests would see each other's traffic.
-static MEASURE_LOCK: Mutex<()> = Mutex::new(());
 
 /// The paper's Figure 6b SoC: CPU plus one accelerator.
 fn soc() -> SocSpec {
@@ -39,7 +32,6 @@ fn workload() -> Workload {
 
 #[test]
 fn steady_state_evaluate_allocates_nothing() {
-    let _guard = MEASURE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let soc = soc();
     let workload = workload();
     // Warmup: fault in any lazy one-time state (formatting machinery,
@@ -63,7 +55,6 @@ fn steady_state_evaluate_allocates_nothing() {
 
 #[test]
 fn offload_sweep_allocates_nothing_per_point() {
-    let _guard = MEASURE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let soc = soc();
     let run =
         |steps: usize| offload_sweep_with(&soc, 0.25, 4.0, steps, Parallelism::Serial).unwrap();

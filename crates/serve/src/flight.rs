@@ -39,13 +39,13 @@ pub struct FlightRecord {
     pub latency_us: u64,
     /// Cache outcome, when the handler reported one.
     pub cache_hit: Option<bool>,
-    /// Heap allocations observed while the request was served. The
-    /// counter is process-wide ([`gables_model::prof::alloc_totals`]),
-    /// so under concurrency this attributes overlapping requests'
-    /// allocations to each of them — an honest upper bound.
+    /// Heap allocations made while the request was served, counted on
+    /// the thread that served it ([`gables_model::prof::AllocScope`]):
+    /// concurrent requests never add to it, and neither do `par`
+    /// helper threads the request fans out to.
     pub allocs: u64,
     /// Heap bytes requested while the request was served (same
-    /// process-wide caveat as `allocs`).
+    /// this-thread scope as `allocs`).
     pub alloc_bytes: u64,
     /// Total span self-time in microseconds
     /// ([`gables_model::prof::cpu_busy_us`]): time attributed to the

@@ -7,8 +7,6 @@
 //! the head and body, and there is no support for chunked transfer
 //! encoding — clients must send `Content-Length`.
 
-use std::io::{Read, Write};
-
 /// Hard limit on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
@@ -28,9 +26,8 @@ pub enum HttpError {
     Malformed(String),
     /// The head or declared body exceeded its limit (413).
     TooLarge(String),
-    /// The socket failed or timed out before a full request arrived
-    /// (408 for timeouts, connection drop otherwise).
-    Io(std::io::Error),
+    /// The read timeout expired before a full request arrived (408).
+    Timeout,
 }
 
 impl HttpError {
@@ -39,13 +36,7 @@ impl HttpError {
         match self {
             HttpError::Malformed(_) => 400,
             HttpError::TooLarge(_) => 413,
-            HttpError::Io(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                408
-            }
-            HttpError::Io(_) => 400,
+            HttpError::Timeout => 408,
         }
     }
 }
@@ -55,18 +46,12 @@ impl std::fmt::Display for HttpError {
         match self {
             HttpError::Malformed(what) => write!(f, "malformed request: {what}"),
             HttpError::TooLarge(what) => write!(f, "request too large: {what}"),
-            HttpError::Io(e) => write!(f, "i/o: {e}"),
+            HttpError::Timeout => f.write_str("i/o: timed out"),
         }
     }
 }
 
 impl std::error::Error for HttpError {}
-
-impl From<std::io::Error> for HttpError {
-    fn from(e: std::io::Error) -> Self {
-        HttpError::Io(e)
-    }
-}
 
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -276,36 +261,9 @@ pub fn parse_request_bytes(buf: &[u8]) -> Result<Option<Parsed>, HttpError> {
     }))
 }
 
-/// Reads and parses one request from a stream (the blocking
-/// counterpart of [`parse_request_bytes`]; leftover pipelined bytes
-/// are discarded).
-///
-/// The caller is expected to have set read timeouts on the underlying
-/// socket; a timeout surfaces as [`HttpError::Io`] with
-/// `WouldBlock`/`TimedOut`.
-///
-/// # Errors
-///
-/// Returns [`HttpError`] for malformed, oversized, or interrupted
-/// requests.
-pub fn read_request(stream: &mut impl Read) -> Result<Request, HttpError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    loop {
-        if let Some(parsed) = parse_request_bytes(&buf)? {
-            return Ok(parsed.request);
-        }
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(closed_early(&buf));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
 /// The error a connection earns by reaching EOF with an incomplete
 /// request buffered: distinguishes a truncated head from a truncated
-/// body, matching what the blocking reader always reported.
+/// body.
 pub fn closed_early(buf: &[u8]) -> HttpError {
     if find_head_end(buf).is_none() {
         HttpError::Malformed("connection closed before a full request head arrived".into())
@@ -318,13 +276,13 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// One response, serialized by [`Response::write_to`].
+/// One response, serialized by [`Response::serialize`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// The status code.
     pub status: u16,
     /// Extra headers beyond the always-present `Content-Type`,
-    /// `Content-Length`, and `Connection: close`.
+    /// `Content-Length`, and `Connection`.
     pub headers: Vec<(String, String)>,
     /// The `Content-Type` value.
     pub content_type: String,
@@ -468,26 +426,20 @@ impl Response {
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
     }
-
-    /// Writes the response with `Connection: close` (the blocking,
-    /// one-request-per-connection path).
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures (including write timeouts).
-    pub fn write_to(&self, stream: &mut impl Write) -> std::io::Result<()> {
-        stream.write_all(&self.serialize(false))?;
-        stream.flush()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Parses `raw` as the event loop does once the peer has sent
+    /// everything: a complete request parses, and a strict prefix is an
+    /// early close.
     fn parse(raw: &[u8]) -> Result<Request, HttpError> {
-        let mut cursor = std::io::Cursor::new(raw.to_vec());
-        read_request(&mut cursor)
+        match parse_request_bytes(raw)? {
+            Some(parsed) => Ok(parsed.request),
+            None => Err(closed_early(raw)),
+        }
     }
 
     #[test]
@@ -515,22 +467,6 @@ mod tests {
         assert_eq!(req.path, "/metrics");
         assert_eq!(req.query, None);
         assert!(req.body.is_empty());
-    }
-
-    #[test]
-    fn body_split_across_reads_is_reassembled() {
-        // Cursor always serves everything, so emulate fragmentation with
-        // a reader that yields one byte at a time.
-        struct OneByte(std::io::Cursor<Vec<u8>>);
-        impl Read for OneByte {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                let take = 1.min(buf.len());
-                self.0.read(&mut buf[..take])
-            }
-        }
-        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc".to_vec();
-        let req = read_request(&mut OneByte(std::io::Cursor::new(raw))).unwrap();
-        assert_eq!(req.body, b"abc");
     }
 
     #[test]
@@ -641,11 +577,9 @@ mod tests {
 
     #[test]
     fn response_serializes_with_length_and_close() {
-        let mut out = Vec::new();
-        Response::text(200, "hi")
+        let out = Response::text(200, "hi")
             .with_header("Retry-After", "1")
-            .write_to(&mut out)
-            .unwrap();
+            .serialize(false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
@@ -690,12 +624,15 @@ mod tests {
 
     #[test]
     fn incremental_parse_waits_for_the_full_request() {
+        // Every strict prefix is incomplete, however the bytes were split
+        // across reads; an EOF there is an early close.
         let raw = b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
         for cut in 0..raw.len() {
             assert!(
                 parse_request_bytes(&raw[..cut]).unwrap().is_none(),
                 "prefix of {cut} bytes must not parse"
             );
+            assert_eq!(closed_early(&raw[..cut]).status(), 400);
         }
         let parsed = parse_request_bytes(raw).unwrap().expect("complete");
         assert_eq!(parsed.consumed, raw.len());
@@ -770,9 +707,7 @@ mod tests {
 
     #[test]
     fn timeout_maps_to_408() {
-        let err = HttpError::Io(std::io::Error::from(std::io::ErrorKind::TimedOut));
-        assert_eq!(err.status(), 408);
-        let err = HttpError::Io(std::io::Error::from(std::io::ErrorKind::WouldBlock));
-        assert_eq!(err.status(), 408);
+        assert_eq!(HttpError::Timeout.status(), 408);
+        assert_eq!(HttpError::Timeout.to_string(), "i/o: timed out");
     }
 }

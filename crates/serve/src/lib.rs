@@ -83,8 +83,8 @@ pub use cache::ShardedCache;
 pub use faults::{FaultCase, FaultKind, FaultOutcome, FaultReport, FaultSchedule};
 pub use flight::{FlightRecord, FlightRecorder};
 pub use http::{
-    parse_request_bytes, read_request, HttpError, Parsed, Request, Response, MAX_BODY_BYTES,
-    MAX_HEADERS, MAX_HEAD_BYTES,
+    parse_request_bytes, HttpError, Parsed, Request, Response, MAX_BODY_BYTES, MAX_HEADERS,
+    MAX_HEAD_BYTES,
 };
 pub use metrics::{MetricsSnapshot, ServerMetrics, LATENCY_BUCKETS, MAX_ROUTE_LABELS};
 pub use server::{Handler, Router, Server, ServerConfig, ServerHandle};

@@ -8,10 +8,12 @@
 //! the `/metrics` endpoint, and the snapshot — like the epoch timeline —
 //! has JSON and text exporters.
 //!
-//! Latencies land in a log2 histogram over microseconds: bucket `i`
-//! counts requests that took `< 2^i µs`, with one overflow bucket. That
-//! spans 1 µs to ~2 s in [`LATENCY_BUCKETS`] fixed buckets with no
-//! allocation on the hot path.
+//! A request's latency and route are recorded once, in the per-route
+//! sketches of the [`SloRegistry`] behind `/v1/slo`; the route counts,
+//! latency sum and log2 histogram (bucket `i` counts requests under
+//! `2^i µs`, plus one overflow bucket) are derived from them. Latencies
+//! below 64 µs land in their exact bucket; above, one within `2α/(1−α)`
+//! (~2% at the sketches' α = 1%) over an edge may land one bucket low.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,6 +21,9 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use gables_model::json::Json;
+use gables_model::sketch::QuantileSketch;
+
+use crate::slo::SloRegistry;
 
 /// Number of log2 latency buckets (the last is the overflow bucket).
 pub const LATENCY_BUCKETS: usize = 22;
@@ -48,18 +53,10 @@ pub struct ServerMetrics {
     panics: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    latency: [AtomicU64; LATENCY_BUCKETS],
-    latency_sum_us: AtomicU64,
-    // Route labels are an open set (any path a client sends), so the
-    // per-route counters live behind a mutex rather than fixed atomics;
-    // one short-held lock per request, off every other hot path.
-    routes: Mutex<BTreeMap<String, u64>>,
     // Accumulated span self-time per phase (span name), microseconds.
-    // Same cardinality discipline as `routes`.
     phase_self_us: Mutex<BTreeMap<String, u64>>,
-    // Per-route quantile sketches and windowed error rates for the SLO
-    // engine; fed by the same `record_handled` call as everything else.
-    slo: crate::slo::SloRegistry,
+    // The one per-request latency and route recorder.
+    slo: SloRegistry,
 }
 
 impl ServerMetrics {
@@ -69,7 +66,7 @@ impl ServerMetrics {
     }
 
     /// Records one fully processed request (any status) with its
-    /// observed service latency.
+    /// observed service latency, in the SLO registry only.
     pub fn record_handled(&self, route: &str, status: u16, latency: Duration) {
         self.handled.fetch_add(1, Ordering::Relaxed);
         match status {
@@ -78,16 +75,8 @@ impl ServerMetrics {
             _ => &self.status_5xx,
         }
         .fetch_add(1, Ordering::Relaxed);
-        self.latency[Self::bucket_for(latency)].fetch_add(1, Ordering::Relaxed);
         let latency_us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.latency_sum_us.fetch_add(latency_us, Ordering::Relaxed);
         self.slo.record(route, status, latency_us);
-        let mut routes = self.routes.lock().expect("metrics route map poisoned");
-        if routes.len() >= MAX_ROUTE_LABELS && !routes.contains_key(route) {
-            *routes.entry("(other)".to_string()).or_insert(0) += 1;
-        } else {
-            *routes.entry(route.to_string()).or_insert(0) += 1;
-        }
     }
 
     /// Accumulates one request's span *self time* (duration minus direct
@@ -100,16 +89,12 @@ impl ServerMetrics {
         }
         let us = self_us.round() as u64;
         let mut phases = self.phase_self_us.lock().expect("phase map poisoned");
-        if phases.len() >= MAX_PHASE_LABELS && !phases.contains_key(phase) {
-            *phases.entry("(other)".to_string()).or_insert(0) += us;
-        } else {
-            *phases.entry(phase.to_string()).or_insert(0) += us;
-        }
+        *fenced_entry(&mut phases, phase, MAX_PHASE_LABELS) += us;
     }
 
     /// The per-route SLO registry fed by [`Self::record_handled`] —
     /// quantile sketches and windowed error rates for `/v1/slo`.
-    pub fn slo(&self) -> &crate::slo::SloRegistry {
+    pub fn slo(&self) -> &SloRegistry {
         &self.slo
     }
 
@@ -146,20 +131,19 @@ impl ServerMetrics {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn bucket_for(latency: Duration) -> usize {
-        let micros = latency.as_micros();
-        for i in 0..LATENCY_BUCKETS - 1 {
-            if micros < (1u128 << i) {
-                return i;
-            }
-        }
-        LATENCY_BUCKETS - 1
-    }
-
-    /// A point-in-time copy of every counter. Individual loads are
+    /// A point-in-time copy of every counter, the latency views derived
+    /// from the SLO registry's lifetime sketches. Individual loads are
     /// relaxed, so a snapshot taken mid-request may be off by the
     /// in-flight request — fine for an operational endpoint.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let mut latency = vec![0; LATENCY_BUCKETS];
+        let mut latency_sum_us = 0;
+        let mut routes = Vec::new();
+        self.slo.for_each_lifetime(|route, sketch| {
+            add_log2_buckets(sketch, &mut latency);
+            latency_sum_us += sketch.sum_us();
+            routes.push((route.to_string(), sketch.count()));
+        });
         MetricsSnapshot {
             handled: self.handled.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
@@ -170,19 +154,9 @@ impl ServerMetrics {
             panics: self.panics.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            latency: self
-                .latency
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            latency_sum_us: self.latency_sum_us.load(Ordering::Relaxed),
-            routes: self
-                .routes
-                .lock()
-                .expect("metrics route map poisoned")
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
+            latency,
+            latency_sum_us,
+            routes,
             phase_self_us: self
                 .phase_self_us
                 .lock()
@@ -192,6 +166,37 @@ impl ServerMetrics {
                 .collect(),
         }
     }
+}
+
+/// Adds a sketch into a log2 histogram: the count below edge `2^i` µs is
+/// all but [`QuantileSketch::count_above`]`(2^i − 1)`, so a value sharing
+/// a sketch bucket with `2^i − 1` counts as below the edge.
+fn add_log2_buckets(sketch: &QuantileSketch, buckets: &mut [u64]) {
+    let mut below_prev = 0;
+    for (i, bucket) in buckets.iter_mut().take(LATENCY_BUCKETS - 1).enumerate() {
+        let below = sketch.count() - sketch.count_above((1 << i) - 1);
+        *bucket += below - below_prev;
+        below_prev = below;
+    }
+    buckets[LATENCY_BUCKETS - 1] += sketch.count() - below_prev;
+}
+
+/// The entry for `label` in a map fenced at `cap` labels (beyond it, new
+/// labels share `"(other)"`), copying the label only on its first use.
+pub(crate) fn fenced_entry<'m, V: Default>(
+    map: &'m mut BTreeMap<String, V>,
+    label: &str,
+    cap: usize,
+) -> &'m mut V {
+    let label = if map.len() < cap || map.contains_key(label) {
+        label
+    } else {
+        "(other)"
+    };
+    if !map.contains_key(label) {
+        map.insert(label.to_string(), V::default());
+    }
+    map.get_mut(label).expect("label inserted above")
 }
 
 /// A point-in-time copy of [`ServerMetrics`].
@@ -238,33 +243,19 @@ impl MetricsSnapshot {
     }
 
     /// The human label of one latency bucket (`"<1us"`, `"<2us"`, …,
-    /// `">=2.1s"` for the overflow bucket).
+    /// `">=1.0s"` for the overflow bucket).
     pub fn bucket_label(i: usize) -> String {
-        let mut out = String::with_capacity(8);
-        Self::push_bucket_label(&mut out, i);
-        out
-    }
-
-    /// Appends one latency bucket's label into `out` without
-    /// allocating (beyond any growth of `out` itself) — the hot-path
-    /// form [`Self::bucket_label`] wraps.
-    pub fn push_bucket_label(out: &mut String, i: usize) {
-        fn push_micros(out: &mut String, micros: u128) {
-            use std::fmt::Write as _;
-            if micros >= 1_000_000 {
-                let _ = write!(out, "{:.1}s", micros as f64 / 1e6);
-            } else if micros >= 1_000 {
-                let _ = write!(out, "{:.0}ms", micros as f64 / 1e3);
-            } else {
-                let _ = write!(out, "{micros}us");
-            }
-        }
-        if i + 1 >= LATENCY_BUCKETS {
-            out.push_str(">=");
-            push_micros(out, 1u128 << (LATENCY_BUCKETS - 2));
+        let (prefix, micros) = if i + 1 >= LATENCY_BUCKETS {
+            (">=", 1u64 << (LATENCY_BUCKETS - 2))
         } else {
-            out.push('<');
-            push_micros(out, 1u128 << i);
+            ("<", 1u64 << i)
+        };
+        if micros >= 1_000_000 {
+            format!("{prefix}{:.1}s", micros as f64 / 1e6)
+        } else if micros >= 1_000 {
+            format!("{prefix}{:.0}ms", micros as f64 / 1e3)
+        } else {
+            format!("{prefix}{micros}us")
         }
     }
 
@@ -659,16 +650,91 @@ mod tests {
 
     #[test]
     fn latency_buckets_are_log2_with_overflow() {
-        // < 1µs lands in bucket 0, 3µs in bucket 2 (< 4µs), and an
-        // absurd latency in the overflow bucket.
-        assert_eq!(ServerMetrics::bucket_for(Duration::from_nanos(10)), 0);
-        assert_eq!(ServerMetrics::bucket_for(Duration::from_micros(3)), 2);
-        assert_eq!(
-            ServerMetrics::bucket_for(Duration::from_secs(3600)),
-            LATENCY_BUCKETS - 1
+        // < 1µs lands in bucket 0, exactly 1µs in bucket 1 (an edge
+        // belongs to the bucket above it), 3µs in bucket 2 (< 4µs), and
+        // an absurd latency in the overflow bucket.
+        let m = ServerMetrics::new();
+        for ns in [10, 1_000, 3_000, 3_600_000_000_000] {
+            m.record_handled("/a", 200, Duration::from_nanos(ns));
+        }
+        let mut want = vec![0; LATENCY_BUCKETS];
+        for i in [0, 1, 2, LATENCY_BUCKETS - 1] {
+            want[i] = 1;
+        }
+        assert_eq!(m.snapshot().latency, want);
+    }
+
+    #[test]
+    fn derived_histogram_is_exact_in_totals_low_only_near_edges_and_merges() {
+        // Seeded latencies across every bucket — log-uniform from under
+        // 1 µs to past the overflow edge, plus each edge, its neighbours
+        // and a point 2% above it — over three routes and two shards.
+        let mut rng = gables_model::rng::SplitMix64::new(0x1062_B0C4);
+        let mut latencies: Vec<u64> = (0..5_000)
+            .map(|_| 2f64.powf(rng.range_f64(-1.0, 22.0)) as u64)
+            .collect();
+        for edge in (0..LATENCY_BUCKETS).map(|i| 1u64 << i) {
+            latencies.extend([edge - 1, edge, edge + 1, edge + edge / 50]);
+        }
+        let exact_bucket = |us: u64| {
+            (0..LATENCY_BUCKETS - 1)
+                .find(|&i| us < 1 << i)
+                .unwrap_or(LATENCY_BUCKETS - 1)
+        };
+        let (a, b, union) = (
+            ServerMetrics::new(),
+            ServerMetrics::new(),
+            ServerMetrics::new(),
         );
-        // Boundary: exactly 2^i µs goes to the next bucket.
-        assert_eq!(ServerMetrics::bucket_for(Duration::from_micros(1)), 1);
+        let mut exact = [0u64; LATENCY_BUCKETS];
+        let mut routes = BTreeMap::new();
+        for (i, &us) in latencies.iter().enumerate() {
+            let route = ["/v1/eval", "/v1/carm", "(unmatched)"][rng.range_usize(0, 2)];
+            for m in [if i % 2 == 0 { &a } else { &b }, &union] {
+                m.record_handled(route, 200, Duration::from_micros(us));
+            }
+            exact[exact_bucket(us)] += 1;
+            *routes.entry(route.to_string()).or_insert(0) += 1;
+        }
+        let s = union.snapshot();
+        // `+Inf` and `_count` render the bucket total and `_sum` the
+        // latency sum: exact, like the per-route counts.
+        assert_eq!(s.latency.iter().sum::<u64>(), latencies.len() as u64);
+        assert_eq!(s.latency_sum_us, latencies.iter().sum::<u64>());
+        assert_eq!(s.routes, routes.into_iter().collect::<Vec<_>>());
+
+        // A latency lands in its own bucket or, only from 64 µs up and
+        // within γ = (1+α)/(1−α) ≈ 1 + 2α above the edge it missed, one
+        // bucket low. The snapshot sums these placements, so buckets
+        // with edges below 64 µs are exact.
+        let alpha = f64::from(crate::slo::SLO_ALPHA_PPM) / 1e6;
+        let gamma = (1.0 + alpha) / (1.0 - alpha);
+        let mut placed = vec![0u64; LATENCY_BUCKETS];
+        for &us in &latencies {
+            let mut one = QuantileSketch::new(crate::slo::SLO_ALPHA_PPM);
+            one.record(us);
+            let mut buckets = [0; LATENCY_BUCKETS];
+            add_log2_buckets(&one, &mut buckets);
+            let got = buckets.iter().position(|&n| n == 1).expect("one bucket");
+            let low_near_edge = got + 1 == exact_bucket(us)
+                && us >= 64
+                && (us as f64) < (1u64 << got) as f64 * gamma;
+            assert!(got == exact_bucket(us) || low_near_edge, "{us} µs in {got}");
+            placed[got] += 1;
+        }
+        assert_eq!(s.latency, placed);
+        assert_ne!(
+            s.latency, exact,
+            "the stream crosses edges inside sketch buckets"
+        );
+        assert_eq!(s.latency[..6], exact[..6]);
+
+        // The shards' derived snapshots, merged over the JSON codec as a
+        // replica parent does, equal the union's.
+        let parse = |m: &ServerMetrics| MetricsSnapshot::from_json(&m.snapshot().to_json());
+        let mut merged = parse(&a).unwrap();
+        merged.merge(&parse(&b).unwrap());
+        assert_eq!(merged, s);
     }
 
     #[test]
@@ -1028,6 +1094,6 @@ mod tests {
         assert_eq!(MetricsSnapshot::bucket_label(0), "<1us");
         assert_eq!(MetricsSnapshot::bucket_label(10), "<1ms");
         assert_eq!(MetricsSnapshot::bucket_label(20), "<1.0s");
-        assert!(MetricsSnapshot::bucket_label(LATENCY_BUCKETS - 1).starts_with(">="));
+        assert_eq!(MetricsSnapshot::bucket_label(LATENCY_BUCKETS - 1), ">=1.0s");
     }
 }

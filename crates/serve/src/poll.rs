@@ -1,14 +1,14 @@
 //! A minimal `epoll` readiness facade built on raw Linux syscalls —
 //! no `libc`, just `std::os::fd` ownership types and inline-assembly
-//! syscall stubs for x86_64 and aarch64. Level-triggered only: the
+//! syscall stubs for x86_64 and aarch64 — plus [`listen`] for the
+//! accept backlog `std` does not expose. Level-triggered only: the
 //! event loop re-arms nothing and simply reads/writes until
 //! `WouldBlock`, which keeps the state machine in `server.rs` honest
 //! (a missed edge cannot wedge a connection).
 //!
 //! On non-Linux (or unsupported-architecture) builds every call
-//! returns [`std::io::ErrorKind::Unsupported`]; the blocking fallbacks
-//! in the CLI remain usable there, and the event loop reports a clean
-//! error instead of failing to compile.
+//! returns [`std::io::ErrorKind::Unsupported`], so the event loop
+//! reports a clean error instead of failing to compile.
 
 use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -162,6 +162,19 @@ impl Poller {
     }
 }
 
+/// Sets the accept backlog of a bound stream socket with `listen(2)`.
+/// Calling it on a socket that already listens (every `std`
+/// `TcpListener`, which asks for 128) replaces that backlog; the kernel
+/// clamps the value to `net.core.somaxconn`.
+///
+/// # Errors
+///
+/// Propagates the kernel error; `Unsupported` on non-Linux builds.
+pub fn listen(fd: RawFd, backlog: i32) -> io::Result<()> {
+    sys::listen(fd, backlog)?;
+    Ok(())
+}
+
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -206,6 +219,7 @@ mod sys {
         pub const EPOLL_CREATE1: usize = 291;
         pub const EPOLL_CTL: usize = 233;
         pub const EPOLL_PWAIT: usize = 281;
+        pub const LISTEN: usize = 50;
     }
 
     #[cfg(target_arch = "aarch64")]
@@ -213,6 +227,7 @@ mod sys {
         pub const EPOLL_CREATE1: usize = 20;
         pub const EPOLL_CTL: usize = 21;
         pub const EPOLL_PWAIT: usize = 22;
+        pub const LISTEN: usize = 201;
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -316,6 +331,11 @@ mod sys {
             )
         })
     }
+
+    pub fn listen(fd: RawFd, backlog: i32) -> io::Result<usize> {
+        // SAFETY: no pointers involved; plain integer arguments.
+        check(unsafe { syscall6(nr::LISTEN, fd as usize, backlog as usize, 0, 0, 0, 0) })
+    }
 }
 
 #[cfg(not(all(
@@ -369,6 +389,10 @@ mod sys {
         _events: &mut [EpollEvent],
         _timeout_ms: i32,
     ) -> io::Result<usize> {
+        Err(unsupported())
+    }
+
+    pub fn listen(_fd: RawFd, _backlog: i32) -> io::Result<usize> {
         Err(unsupported())
     }
 }
@@ -431,5 +455,21 @@ mod tests {
         assert!(ev.readable, "pending byte must surface after modify");
         assert!(ev.writable, "fresh socket has send-buffer room");
         poller.delete(server.as_raw_fd()).unwrap();
+    }
+
+    #[test]
+    fn listen_queues_more_connects_than_the_std_backlog() {
+        // Nothing accepts, so every connect must fit in the accept queue
+        // (capped by the kernel at somaxconn). Under std's backlog of 128
+        // the 130th SYN is dropped and its connect times out.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listen(listener.as_raw_fd(), 4096).unwrap();
+        let somaxconn = std::fs::read_to_string("/proc/sys/net/core/somaxconn")
+            .map_or(128, |s| s.trim().parse().unwrap_or(128));
+        let addr = listener.local_addr().unwrap();
+        let timeout = std::time::Duration::from_secs(5);
+        let _herd: Vec<TcpStream> = (0..somaxconn.min(512))
+            .map(|_| TcpStream::connect_timeout(&addr, timeout).expect("connect is queued"))
+            .collect();
     }
 }

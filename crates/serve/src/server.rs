@@ -34,6 +34,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use gables_model::obs;
+use gables_model::prof::AllocScope;
 
 use crate::flight::{FlightRecord, FlightRecorder};
 use crate::http::{closed_early, parse_request_bytes, HttpError, Request, Response};
@@ -62,6 +63,11 @@ const DRAIN_GRACE: Duration = Duration::from_millis(100);
 
 /// How long shutdown waits for in-flight connections before giving up.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
+
+/// Accept backlog (the kernel clamps it to `net.core.somaxconn`). std's
+/// 128 overflows under a connect herd, costing each overflow a ~1 s SYN
+/// retransmit.
+const LISTEN_BACKLOG: i32 = 4096;
 
 /// Largest write-buffer capacity a connection keeps between responses.
 /// Buffers that grew past this (one oversized response) are released
@@ -353,6 +359,8 @@ impl Server {
     /// Returns the bind error (address in use, permission, …).
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
+        // Builds without the syscall keep std's backlog.
+        let _ = crate::poll::listen(listener.as_raw_fd(), LISTEN_BACKLOG);
         let flight = Arc::new(FlightRecorder::new(config.flight_capacity));
         Ok(Self {
             listener,
@@ -778,9 +786,8 @@ impl EventLoop {
     }
 
     /// Answers a request that never parsed (malformed, oversized, timed
-    /// out, truncated by EOF), recording the same telemetry the old
-    /// blocking path did: route `"(unparsed)"`, method `-`, a flight
-    /// record, and an access-log line.
+    /// out, truncated by EOF) and records it like any other, as route
+    /// `"(unparsed)"` with method `-`.
     fn finish_unparsed(&mut self, slot: usize, err: &HttpError) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
@@ -790,46 +797,20 @@ impl EventLoop {
         let metrics = Arc::clone(&self.metrics);
         metrics.enter_in_flight();
         let _in_flight = InFlightGuard(&metrics);
-        let alloc_scope = gables_model::prof::AllocScope::begin();
+        let alloc_scope = AllocScope::begin();
         let request_id = fresh_request_id();
         let response = Response::error(err.status(), &err.to_string())
             .with_header("X-Request-Id", request_id.as_str());
-        let status = response.status;
-        let latency = started.map(|t| t.elapsed()).unwrap_or_default();
-        let route = "(unparsed)".to_string();
-        self.metrics.record_handled(&route, status, latency);
-        if obs::enabled(obs::Level::Info) {
-            obs::log(
-                obs::Level::Info,
-                "serve.access",
-                "request",
-                &[
-                    ("method", "-".into()),
-                    ("route", route.as_str().into()),
-                    ("status", status.into()),
-                    ("latency_us", (latency.as_micros() as u64).into()),
-                    ("bytes", response.body.len().into()),
-                    ("cache", "-".into()),
-                    ("request_id", request_id.as_str().into()),
-                ],
-            );
+        Finished {
+            method: "-",
+            route: "(unparsed)".to_string(),
+            request_id,
+            response: &response,
+            latency: started.map(|t| t.elapsed()).unwrap_or_default(),
+            spans: (Vec::new(), 0),
+            alloc_scope,
         }
-        let alloc = alloc_scope.delta();
-        self.flight.record(FlightRecord {
-            seq: 0, // stamped by the recorder
-            id: request_id,
-            method: "-".to_string(),
-            route,
-            status,
-            ts_unix_us: crate::slo::unix_now_us(),
-            latency_us: latency.as_micros() as u64,
-            cache_hit: None,
-            allocs: alloc.allocs,
-            alloc_bytes: alloc.bytes,
-            cpu_busy_us: 0.0,
-            spans: Vec::new(),
-            spans_dropped: 0,
-        });
+        .record(&metrics, &self.flight);
         self.queue_response(slot, &response);
     }
 
@@ -944,8 +925,7 @@ impl EventLoop {
                             self.close(slot);
                         }
                     } else if now.duration_since(conn.last_activity) > self.config.read_timeout {
-                        let err = HttpError::Io(std::io::Error::from(std::io::ErrorKind::TimedOut));
-                        self.finish_unparsed(slot, &err);
+                        self.finish_unparsed(slot, &HttpError::Timeout);
                     }
                 }
                 ConnState::Writing => {
@@ -1001,9 +981,9 @@ impl EventLoop {
 }
 
 /// Runs the full request pipeline on a worker thread: span tree,
-/// dispatch (with a confined panic answered as a structured 500),
-/// metrics, access log, and flight record — then hands the serialized
-/// response back to the event loop.
+/// dispatch (with a confined panic answered as a structured 500) and
+/// [`Finished::record`] — then hands the serialized response back to
+/// the event loop.
 fn execute(
     job: Job,
     router: &Router,
@@ -1013,7 +993,7 @@ fn execute(
 ) {
     metrics.enter_in_flight();
     let _in_flight = InFlightGuard(metrics);
-    let alloc_scope = gables_model::prof::AllocScope::begin();
+    let alloc_scope = AllocScope::begin();
     let started = Instant::now();
     let collector = obs::SpanCollector::new(SPAN_CAPACITY);
     let req = &job.request;
@@ -1047,61 +1027,16 @@ fn execute(
         })
     };
     let response = response.with_header("X-Request-Id", request_id.as_str());
-    let status = response.status;
-    let latency = started.elapsed();
-    metrics.record_handled(&route, status, latency);
-    // Handlers report cache attribution out-of-band via an `X-Cache`
-    // response header (set in the route layer); surface it per-request.
-    let cache_hit = response
-        .headers
-        .iter()
-        .find(|(k, _)| k.eq_ignore_ascii_case("x-cache"))
-        .map(|(_, v)| v == "hit");
-    if obs::enabled(obs::Level::Info) {
-        obs::log(
-            obs::Level::Info,
-            "serve.access",
-            "request",
-            &[
-                ("method", req.method.as_str().into()),
-                ("route", route.as_str().into()),
-                ("status", status.into()),
-                ("latency_us", (latency.as_micros() as u64).into()),
-                ("bytes", response.body.len().into()),
-                (
-                    "cache",
-                    match cache_hit {
-                        Some(true) => "hit".into(),
-                        Some(false) => "miss".into(),
-                        None => "-".into(),
-                    },
-                ),
-                ("request_id", request_id.as_str().into()),
-            ],
-        );
-    }
-    let (spans, spans_dropped) = collector.take();
-    let self_times = gables_model::prof::self_times_us(&spans);
-    let cpu_busy_us: f64 = self_times.iter().map(|(_, us)| us).sum();
-    for (phase, us) in &self_times {
-        metrics.record_phase_self(phase, *us);
-    }
-    let alloc = alloc_scope.delta();
-    flight.record(FlightRecord {
-        seq: 0, // stamped by the recorder
-        id: request_id,
-        method: req.method.clone(),
+    Finished {
+        method: &req.method,
         route,
-        status,
-        ts_unix_us: crate::slo::unix_now_us(),
-        latency_us: latency.as_micros() as u64,
-        cache_hit,
-        allocs: alloc.allocs,
-        alloc_bytes: alloc.bytes,
-        cpu_busy_us,
-        spans,
-        spans_dropped,
-    });
+        request_id,
+        response: &response,
+        latency: started.elapsed(),
+        spans: collector.take(),
+        alloc_scope,
+    }
+    .record(metrics, flight);
     // Serialize into the connection's recycled buffer (lent via the
     // job); it rides back to the event loop inside `Done::bytes`.
     let mut bytes = job.buf;
@@ -1112,6 +1047,83 @@ fn execute(
         bytes,
         close: !job.keep_alive,
     });
+}
+
+/// One answered request, as every recorder sees it. Both answer paths
+/// end here: a worker's dispatch ([`execute`]) and the loop's answer to
+/// a request that never parsed ([`EventLoop::finish_unparsed`]).
+struct Finished<'a> {
+    method: &'a str,
+    route: String,
+    request_id: String,
+    response: &'a Response,
+    latency: Duration,
+    /// The collected spans and the count dropped.
+    spans: (Vec<obs::SpanRecord>, u64),
+    /// Opened when the request started, on the thread recording it.
+    alloc_scope: AllocScope,
+}
+
+impl Finished<'_> {
+    /// Feeds the request to metrics (and through them the SLO
+    /// sketches), the access log, the per-phase self-times and the
+    /// flight recorder.
+    fn record(self, metrics: &ServerMetrics, flight: &FlightRecorder) {
+        let status = self.response.status;
+        let latency_us = self.latency.as_micros() as u64;
+        metrics.record_handled(&self.route, status, self.latency);
+        // Handlers report cache attribution out-of-band via an `X-Cache`
+        // response header (set in the route layer); surface it per-request.
+        let cache_hit = self
+            .response
+            .headers
+            .iter()
+            .find(|(k, _)| k.eq_ignore_ascii_case("x-cache"))
+            .map(|(_, v)| v == "hit");
+        if obs::enabled(obs::Level::Info) {
+            obs::log(
+                obs::Level::Info,
+                "serve.access",
+                "request",
+                &[
+                    ("method", self.method.into()),
+                    ("route", self.route.as_str().into()),
+                    ("status", status.into()),
+                    ("latency_us", latency_us.into()),
+                    ("bytes", self.response.body.len().into()),
+                    (
+                        "cache",
+                        cache_hit
+                            .map_or("-", |hit| if hit { "hit" } else { "miss" })
+                            .into(),
+                    ),
+                    ("request_id", self.request_id.as_str().into()),
+                ],
+            );
+        }
+        let (spans, spans_dropped) = self.spans;
+        let self_times = gables_model::prof::self_times_us(&spans);
+        let cpu_busy_us: f64 = self_times.iter().map(|(_, us)| us).sum();
+        for (phase, us) in &self_times {
+            metrics.record_phase_self(phase, *us);
+        }
+        let alloc = self.alloc_scope.delta();
+        flight.record(FlightRecord {
+            seq: 0, // stamped by the recorder
+            id: self.request_id,
+            method: self.method.to_string(),
+            route: self.route,
+            status,
+            ts_unix_us: crate::slo::unix_now_us(),
+            latency_us,
+            cache_hit,
+            allocs: alloc.allocs,
+            alloc_bytes: alloc.bytes,
+            cpu_busy_us,
+            spans,
+            spans_dropped,
+        });
+    }
 }
 
 /// Decrements the in-flight gauge on scope exit, so the gauge stays

@@ -4,7 +4,9 @@
 //!
 //! Every handled request lands in a [`SloRegistry`]: a cumulative
 //! [`QuantileSketch`] plus a rolling [`WindowRing`] per route, guarded
-//! by the same label-cardinality fence as the metrics route map. A
+//! by a label-cardinality fence. It is the server's only per-request
+//! latency and route recorder; `/v1/metrics` derives its views from the
+//! cumulative sketches. A
 //! [`SloSnapshot`] carries the sketches themselves (integer state, not
 //! derived quantiles), so a replica router can merge shard snapshots
 //! *exactly* — the merged fleet sketch is bit-identical to one sketch
@@ -28,7 +30,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use gables_model::json::Json;
 use gables_model::sketch::{QuantileSketch, WindowRing, WindowStats, WINDOWS_SECS};
 
-use crate::metrics::{escape_label, MAX_ROUTE_LABELS};
+use crate::metrics::{escape_label, fenced_entry, MAX_ROUTE_LABELS};
 
 /// The quantiles every SLO surface reports, as (label, q) pairs.
 pub const REPORT_QUANTILES: [(&str, f64); 3] = [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)];
@@ -60,24 +62,21 @@ struct RouteTrack {
     cumulative: QuantileSketch,
     ring: WindowRing,
     errors: u64,
-    total: u64,
 }
 
-impl RouteTrack {
-    fn new() -> Self {
+impl Default for RouteTrack {
+    fn default() -> Self {
         RouteTrack {
             cumulative: QuantileSketch::new(SLO_ALPHA_PPM),
             ring: WindowRing::new(SLO_ALPHA_PPM),
             errors: 0,
-            total: 0,
         }
     }
 }
 
 /// Streaming per-route SLO state, updated once per handled request.
 ///
-/// Shares the metrics module's route-cardinality fence: beyond
-/// [`MAX_ROUTE_LABELS`] distinct routes, new labels fold into
+/// Beyond [`MAX_ROUTE_LABELS`] distinct routes, new labels fold into
 /// `"(other)"` so hostile paths cannot grow the map unboundedly.
 #[derive(Debug, Default)]
 pub struct SloRegistry {
@@ -91,22 +90,14 @@ impl SloRegistry {
     }
 
     /// Records one handled request at an explicit wall time (seconds
-    /// since the Unix epoch). Only 5xx statuses count as errors.
+    /// since the Unix epoch). Only 5xx statuses count as errors. The
+    /// route label is copied only on that route's first request.
     pub fn record_at(&self, now_secs: u64, route: &str, status: u16, latency_us: u64) {
         let is_error = status >= 500;
         let mut routes = self.routes.lock().expect("slo route map poisoned");
-        let track = if routes.len() >= MAX_ROUTE_LABELS && !routes.contains_key(route) {
-            routes
-                .entry("(other)".to_string())
-                .or_insert_with(RouteTrack::new)
-        } else {
-            routes
-                .entry(route.to_string())
-                .or_insert_with(RouteTrack::new)
-        };
+        let track = fenced_entry(&mut routes, route, MAX_ROUTE_LABELS);
         track.cumulative.record(latency_us);
         track.ring.record(now_secs, latency_us, is_error);
-        track.total += 1;
         if is_error {
             track.errors += 1;
         }
@@ -131,7 +122,7 @@ impl SloRegistry {
                         RouteSlo {
                             cumulative: track.cumulative.clone(),
                             errors: track.errors,
-                            total: track.total,
+                            total: track.cumulative.count(),
                             windows: WINDOWS_SECS
                                 .iter()
                                 .map(|&w| track.ring.window(now_secs, w))
@@ -146,6 +137,15 @@ impl SloRegistry {
     /// A snapshot at the current wall time.
     pub fn snapshot(&self) -> SloSnapshot {
         self.snapshot_at(unix_now_secs())
+    }
+
+    /// Visits each route's lifetime sketch in route order, under the
+    /// registry's lock and without copying a sketch.
+    pub(crate) fn for_each_lifetime(&self, mut visit: impl FnMut(&str, &QuantileSketch)) {
+        let routes = self.routes.lock().expect("slo route map poisoned");
+        for (route, track) in routes.iter() {
+            visit(route, &track.cumulative);
+        }
     }
 }
 

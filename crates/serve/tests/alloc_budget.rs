@@ -1,22 +1,19 @@
-//! Allocation-budget gate for the Prometheus scrape path.
+//! Allocation-budget gates for the metrics hot paths.
 //!
 //! PR 9 established the workspace rule: steady-state hot paths do zero
-//! heap allocations. A metrics scrape is a hot path too — exporters
-//! poll every few seconds forever — so rendering a snapshot into a
-//! reused buffer must not touch the heap once the buffer has grown to
-//! size. The counting allocator is process-wide, so this test owns its
-//! own integration binary and serializes measurements on a lock, same
-//! as `crates/core/tests/alloc_budget.rs`.
+//! heap allocations. Recording a request of a route seen before is one,
+//! and so is a metrics scrape — exporters poll every few seconds
+//! forever — so rendering a snapshot into a reused buffer must not touch
+//! the heap once the buffer has grown to size. [`AllocScope`] counts the
+//! calling thread's allocations only, so other test threads cannot leak
+//! into these `== 0` assertions.
 
-use std::sync::Mutex;
 use std::time::Duration;
 
 use gables_model::prof::AllocScope;
+use gables_model::sketch::SLOT_SECS;
+use gables_serve::slo::unix_now_secs;
 use gables_serve::ServerMetrics;
-
-/// Serializes the measuring tests: the allocation counters are global
-/// to the process.
-static MEASURE_LOCK: Mutex<()> = Mutex::new(());
 
 /// A metrics instance with representative traffic: several routes,
 /// every status class, phases, cache outcomes, and a latency spread.
@@ -44,8 +41,33 @@ fn populated_metrics() -> ServerMetrics {
 }
 
 #[test]
+fn recording_a_route_seen_before_allocates_nothing() {
+    let metrics = populated_metrics();
+    let latency = Duration::from_micros(40);
+    loop {
+        // The SLO ring starts a fresh sketch every `SLOT_SECS`, and its
+        // first value allocates a bucket. Measure inside one slot: warm
+        // it, then record.
+        let slot = unix_now_secs() / SLOT_SECS;
+        metrics.record_handled("/v1/eval", 200, latency);
+        let scope = AllocScope::begin();
+        for _ in 0..64 {
+            metrics.record_handled("/v1/eval", 200, latency);
+        }
+        let delta = scope.delta();
+        if unix_now_secs() / SLOT_SECS != slot {
+            continue; // a slot boundary fell inside the measurement
+        }
+        assert_eq!(
+            delta.allocs, 0,
+            "recording a known route must not touch the heap: {delta:?}"
+        );
+        break;
+    }
+}
+
+#[test]
 fn prometheus_scrape_into_a_reused_buffer_allocates_nothing() {
-    let _guard = MEASURE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let metrics = populated_metrics();
     let snapshot = metrics.snapshot();
     let mut buf = String::new();
@@ -70,31 +92,4 @@ fn prometheus_scrape_into_a_reused_buffer_allocates_nothing() {
     );
     assert_eq!(delta.bytes, 0, "{delta:?}");
     assert_eq!(buf.capacity(), capacity, "the buffer never regrows");
-}
-
-#[test]
-fn bucket_labels_render_without_a_fresh_string() {
-    let _guard = MEASURE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let mut buf = String::new();
-    for i in 0..gables_serve::LATENCY_BUCKETS {
-        buf.clear();
-        gables_serve::MetricsSnapshot::push_bucket_label(&mut buf, i);
-    }
-    let scope = AllocScope::begin();
-    for _ in 0..64 {
-        for i in 0..gables_serve::LATENCY_BUCKETS {
-            buf.clear();
-            gables_serve::MetricsSnapshot::push_bucket_label(&mut buf, i);
-            std::hint::black_box(&buf);
-        }
-    }
-    let delta = scope.delta();
-    assert_eq!(
-        delta.allocs, 0,
-        "bucket labels must render into the caller's buffer: {delta:?}"
-    );
-    // And the wrapper still agrees with the in-place form.
-    buf.clear();
-    gables_serve::MetricsSnapshot::push_bucket_label(&mut buf, 0);
-    assert_eq!(buf, gables_serve::MetricsSnapshot::bucket_label(0));
 }

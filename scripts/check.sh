@@ -53,8 +53,9 @@ echo "==> JSON decoder suite (differential fuzzer vs the char-at-a-time referenc
 # Debug build on purpose: the 1 MiB budget must hold unoptimized.
 cargo test -q -p gables-model --lib json::
 
-echo "==> allocation-budget gate (zero-alloc evaluate / sweep points, debug)"
+echo "==> allocation-budget gate (zero-alloc evaluate / sweep points / request recording / scrape, debug)"
 cargo test -q -p gables-model --test alloc_budget
+cargo test -q -p gables-serve --test alloc_budget
 
 echo "==> serve loopback smoke test (real server on an ephemeral port)"
 cargo test -q -p gables-cli --test serve_loopback
@@ -100,6 +101,7 @@ if [ "$QUICK" -eq 0 ]; then
 
   echo "==> allocation-budget gate (release: the optimized hot paths)"
   cargo test --release -q -p gables-model --test alloc_budget
+  cargo test --release -q -p gables-serve --test alloc_budget
 fi
 
 echo "==> differential property suite (dual forms, serial vs parallel, CLI vs HTTP)"
